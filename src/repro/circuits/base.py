@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from repro.cuts.cut import Cut
 from repro.graphs.graph import Graph
-from repro.utils.rng import RandomState
+from repro.utils.rng import RandomState, as_seed_sequence
 from repro.utils.validation import ValidationError
 
 __all__ = ["SampleTrajectory", "CircuitResult", "NeuromorphicCircuit"]
@@ -102,57 +101,29 @@ class NeuromorphicCircuit(abc.ABC):
         self.graph = graph
 
     @abc.abstractmethod
-    def sample_cuts(
-        self, n_samples: int, seed: RandomState = None
-    ) -> CircuitResult:
-        """Generate *n_samples* cut read-outs and return the full result."""
-
-    def solve(self, n_samples: int, seed: RandomState = None) -> Cut:
-        """Convenience wrapper returning only the best cut found."""
-        return self.sample_cuts(n_samples, seed=seed).best_cut
-
-    # ------------------------------------------------------------------
-    # Batched fast path (repro.engine)
-    # ------------------------------------------------------------------
     def engine_plan(self):
-        """Describe how to run this circuit in batch (a ``BatchPlan``).
+        """Describe how the engine simulates this circuit (a ``BatchPlan``)."""
 
-        Circuits that support the trial-parallel engine override this; the
-        base implementation reports the circuit as sequential-only.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support the batched engine"
-        )
+    def sample_cuts(self, n_samples: int, seed: RandomState = None) -> CircuitResult:
+        """Generate *n_samples* cut read-outs and return the full result.
 
-    def sample_cuts_batch(
-        self,
-        n_trials: int,
-        n_samples: int,
-        seed=None,
-        backend: str = "auto",
-        early_stop=None,
-        **request_options,
-    ):
-        """Opt-in fast path: run *n_trials* independent trials in batch.
-
-        With ``backend="dense"``/``"auto"`` (dense selected) and
-        ``early_stop=None``, trial *i* of the returned
-        :class:`repro.engine.SolveResult` is bit-identical to
-
-            self.sample_cuts(n_samples, seed=np.random.SeedSequence(seed, spawn_key=(i,)))
-
-        while integrating every trial's membranes together, one vectorised
-        update per time step.
+        One batch-of-1 call of :class:`repro.engine.BatchedSolverEngine` on
+        the dense backend, seeded with ``as_seed_sequence(seed)`` — the same
+        conversion :func:`repro.utils.rng.spawn_generators` applies, so a
+        ``Generator`` seed consumes the same draws it always has.
+        ``SolveRequest`` validates *n_samples*.
         """
         from repro.engine import BatchedSolverEngine, SolveRequest
 
         request = SolveRequest(
             circuit=self,
-            n_trials=n_trials,
+            n_trials=1,
             n_samples=n_samples,
-            seed=seed,
-            backend=backend,
-            early_stop=early_stop,
-            **request_options,
+            trial_seeds=(as_seed_sequence(seed),),
+            backend="dense",
         )
-        return BatchedSolverEngine().solve(request)
+        return BatchedSolverEngine().solve(request).circuit_result(0)
+
+    def solve(self, n_samples: int, seed: RandomState = None) -> Cut:
+        """Convenience wrapper returning only the best cut found."""
+        return self.sample_cuts(n_samples, seed=seed).best_cut

@@ -21,22 +21,16 @@ from typing import Optional
 
 import numpy as np
 
-from repro.circuits.base import CircuitResult, NeuromorphicCircuit, SampleTrajectory
+from repro.circuits.base import NeuromorphicCircuit
 from repro.circuits.config import LIFGWConfig
-from repro.cuts.cut import Cut, cut_weights_batch
 from repro.devices.base import DevicePool
 from repro.devices.bernoulli import FairCoinPool
 from repro.graphs.graph import Graph
-from repro.neurons.encoding import membrane_sign_assignments, spikes_to_assignments
-from repro.neurons.lif import LIFPopulation
 from repro.sdp.burer_monteiro import SDPResult, solve_maxcut_sdp
-from repro.utils.logging import get_logger
-from repro.utils.rng import RandomState, as_generator, spawn_generators
+from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import ValidationError
 
 __all__ = ["LIFGWCircuit"]
-
-_logger = get_logger("circuits.lif_gw")
 
 
 class LIFGWCircuit(NeuromorphicCircuit):
@@ -98,10 +92,6 @@ class LIFGWCircuit(NeuromorphicCircuit):
         """Device-to-neuron weight matrix ``weight_scale * W_GW``."""
         return self.config.weight_scale * self.sdp_result.vectors
 
-    def build_population(self) -> LIFPopulation:
-        """Construct a fresh LIF population wired with the SDP weights."""
-        return LIFPopulation(self.weights, params=self.config.lif)
-
     def build_device_pool(self, rng: RandomState = None) -> DevicePool:
         """Construct the stochastic device pool (one device per SDP dimension)."""
         pool = self._device_pool_factory(self.config.rank, as_generator(rng))
@@ -116,8 +106,8 @@ class LIFGWCircuit(NeuromorphicCircuit):
 
         The GW weight matrix is a skinny ``(n, rank)`` array, so no sparse
         weight builder is provided — the dense backend is always the right
-        choice and keeps the batched path bit-identical to
-        :meth:`sample_cuts` under matching per-trial seeds.
+        choice and keeps every trial bit-identical to
+        :func:`repro.engine.sequential_solve` under matching seeds.
         """
         from repro.engine.plan import BatchPlan
 
@@ -134,56 +124,5 @@ class LIFGWCircuit(NeuromorphicCircuit):
                 "sdp_objective": self.sdp_result.objective,
                 "sdp_converged": self.sdp_result.converged,
                 "rank": config.rank,
-            },
-        )
-
-    # ------------------------------------------------------------------
-    def sample_cuts(self, n_samples: int, seed: RandomState = None) -> CircuitResult:
-        """Run the circuit long enough to read out *n_samples* cuts."""
-        if n_samples < 1:
-            raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
-        device_rng, _ = spawn_generators(seed, 2)
-        pool = self.build_device_pool(device_rng)
-        population = self.build_population()
-        config = self.config
-
-        n_steps = config.burn_in_steps + n_samples * config.sample_interval
-        device_states = pool.sample(n_steps)
-
-        if config.readout == "membrane":
-            potentials = population.run_subthreshold(
-                device_states, burn_in=config.burn_in_steps
-            )
-            readout_rows = potentials[config.sample_interval - 1 :: config.sample_interval]
-            assignments = membrane_sign_assignments(readout_rows)
-        else:
-            run = population.run(device_states, burn_in=config.burn_in_steps)
-            spike_rows = run["spikes"][config.sample_interval - 1 :: config.sample_interval]
-            assignments = spikes_to_assignments(spike_rows)
-
-        assignments = assignments[:n_samples]
-        weights = cut_weights_batch(self.graph, assignments)
-        best_index = int(np.argmax(weights))
-        best_cut = Cut(
-            assignment=assignments[best_index].astype(np.int8),
-            weight=float(weights[best_index]),
-            graph_name=self.graph.name,
-        )
-        _logger.debug(
-            "LIF-GW on %s: %d samples, best cut %.1f",
-            self.graph.name, n_samples, best_cut.weight,
-        )
-        return CircuitResult(
-            graph_name=self.graph.name,
-            best_cut=best_cut,
-            trajectory=SampleTrajectory(weights=weights),
-            n_samples=int(assignments.shape[0]),
-            n_steps=n_steps,
-            metadata={
-                "sdp_objective": self.sdp_result.objective,
-                "sdp_converged": self.sdp_result.converged,
-                "rank": self.config.rank,
-                "readout": config.readout,
-                "n_devices": pool.n_devices,
             },
         )

@@ -23,21 +23,16 @@ from typing import Optional
 
 import numpy as np
 
-from repro.circuits.base import CircuitResult, NeuromorphicCircuit, SampleTrajectory
+from repro.circuits.base import NeuromorphicCircuit
 from repro.circuits.config import LIFTrevisanConfig
-from repro.cuts.cut import Cut, cut_weights_batch
 from repro.devices.base import DevicePool
 from repro.devices.bernoulli import FairCoinPool
 from repro.graphs.graph import Graph
-from repro.neurons.lif import LIFPopulation
 from repro.neurons.plasticity import AntiHebbianMinorComponent
-from repro.utils.logging import get_logger
-from repro.utils.rng import RandomState, as_generator, spawn_generators
+from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import ValidationError
 
 __all__ = ["LIFTrevisanCircuit"]
-
-_logger = get_logger("circuits.lif_trevisan")
 
 
 class LIFTrevisanCircuit(NeuromorphicCircuit):
@@ -76,10 +71,6 @@ class LIFTrevisanCircuit(NeuromorphicCircuit):
         """Device-to-neuron weight matrix ``weight_scale * (I + D^{-1/2} A D^{-1/2})``."""
         return self.config.weight_scale * self._trevisan_matrix
 
-    def build_population(self) -> LIFPopulation:
-        """Construct a fresh LIF population wired with the Trevisan weights."""
-        return LIFPopulation(self.weights, params=self.config.lif)
-
     def build_device_pool(self, rng: RandomState = None) -> DevicePool:
         """Construct the device pool: one random device per graph vertex."""
         pool = self._device_pool_factory(self.graph.n_vertices, as_generator(rng))
@@ -94,7 +85,7 @@ class LIFTrevisanCircuit(NeuromorphicCircuit):
         """Batch-execution recipe for :class:`repro.engine.BatchedSolverEngine`.
 
         The read-out is ``"plasticity"``: each trial owns an anti-Hebbian
-        learner (seeded exactly as the sequential path seeds it) that consumes
+        learner (seeded from the trial's plasticity generator) that consumes
         every post-burn-in membrane row.  A sparse Trevisan weight builder is
         provided so the engine's ``auto`` backend can switch to CSR products
         on large low-density graphs; it reuses the graph's cached CSR
@@ -132,73 +123,4 @@ class LIFTrevisanCircuit(NeuromorphicCircuit):
             plasticity_builder=build_learner,
             sparse_weights=sparse_weights,
             metadata={"learning_rate": config.learning_rate},
-        )
-
-    # ------------------------------------------------------------------
-    def sample_cuts(self, n_samples: int, seed: RandomState = None) -> CircuitResult:
-        """Run the circuit, applying plasticity every step and reading out cuts.
-
-        The read-out cadence is one cut per ``sample_interval`` LIF/plasticity
-        steps, so *n_samples* read-outs require
-        ``burn_in_steps + n_samples * sample_interval`` simulated steps.
-        """
-        if n_samples < 1:
-            raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
-        device_rng, plasticity_rng = spawn_generators(seed, 2)
-        pool = self.build_device_pool(device_rng)
-        population = self.build_population()
-        config = self.config
-        n = self.graph.n_vertices
-
-        learner = AntiHebbianMinorComponent(
-            n_inputs=n,
-            learning_rate=config.learning_rate,
-            learning_rate_decay=config.learning_rate_decay,
-            normalize_inputs=config.normalize_plasticity_inputs,
-            seed=plasticity_rng,
-        )
-
-        n_steps = config.burn_in_steps + n_samples * config.sample_interval
-        device_states = pool.sample(n_steps)
-        # Subthreshold membrane trajectory after burn-in drives the plasticity.
-        potentials = population.run_subthreshold(
-            device_states, burn_in=config.burn_in_steps
-        )
-
-        assignments = np.empty((n_samples, n), dtype=np.int8)
-        sample_index = 0
-        for t in range(potentials.shape[0]):
-            learner.step(potentials[t])
-            if (t + 1) % config.sample_interval == 0 and sample_index < n_samples:
-                assignments[sample_index] = learner.sign_assignment()
-                sample_index += 1
-        # If rounding of steps left trailing samples unfilled (cannot happen with
-        # the exact step count above, but guard anyway), repeat the last state.
-        while sample_index < n_samples:
-            assignments[sample_index] = learner.sign_assignment()
-            sample_index += 1
-
-        weights = cut_weights_batch(self.graph, assignments)
-        best_index = int(np.argmax(weights))
-        best_cut = Cut(
-            assignment=assignments[best_index].astype(np.int8),
-            weight=float(weights[best_index]),
-            graph_name=self.graph.name,
-        )
-        _logger.debug(
-            "LIF-TR on %s: %d samples, best cut %.1f",
-            self.graph.name, n_samples, best_cut.weight,
-        )
-        return CircuitResult(
-            graph_name=self.graph.name,
-            best_cut=best_cut,
-            trajectory=SampleTrajectory(weights=weights),
-            n_samples=n_samples,
-            n_steps=n_steps,
-            metadata={
-                "final_plasticity_weights": learner.weights.copy(),
-                "n_plasticity_updates": learner.n_updates,
-                "n_devices": pool.n_devices,
-                "learning_rate": config.learning_rate,
-            },
         )

@@ -256,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Run many independent trials of one circuit on one graph through "
             "the batched solver engine. Trial i is seeded with "
             "SeedSequence(seed, spawn_key=(i,)), so results are reproducible "
-            "and (dense backend, no early stop) bit-identical to running the "
-            "sequential circuit once per trial."
+            "and (dense backend, no early stop) bit-identical to the "
+            "one-trial-at-a-time reference (sequential_solve)."
         ),
     )
     engine.add_argument("--circuit", choices=["lif_gw", "lif_tr"], default="lif_gw")
@@ -410,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--workers", type=int, default=1,
                          help="process workers for sequential solvers' trials")
     compare.add_argument("--no-engine", action="store_true",
-                         help="run batchable circuits through the sequential path too")
+                         help="run batchable circuits trial by trial too (no trial batching)")
     compare.add_argument("--plot", action="store_true",
                          help="render an ASCII bar chart of the leaderboard")
     # SUPPRESS (not None) so a global `repro --save out.json compare ...`
@@ -805,7 +805,7 @@ def _command_solve(args: argparse.Namespace) -> int:
     engine_note = ""
     if args.backend != "auto":
         # An explicit backend routes batchable solvers through the engine
-        # (the sequential circuit path has no backend seam).  Non-batchable
+        # (per-trial sample_cuts calls always run on the dense backend).  Non-batchable
         # solvers cannot honour the request — say so instead of ignoring it.
         if not spec.batchable:
             print(

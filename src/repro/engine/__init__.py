@@ -7,8 +7,8 @@ Public API
 :class:`BatchedSolverEngine` / :func:`solve`
     Execute a request with trial-parallel simulation.
 :func:`sequential_solve`
-    Reference loop over the sequential circuit path with the same per-trial
-    seeds (for equivalence tests and benchmarks).
+    Plan-driven reference: one trial at a time through ``LIFPopulation``
+    with the same per-trial seeds (for equivalence tests and benchmarks).
 :class:`EarlyStopConfig`
     Plateau rule for streaming best-cut early stopping.
 :func:`resolve_backend` / :meth:`WeightBackend.for_graph`

@@ -11,7 +11,7 @@ the product through a small registry of backends:
   (NumPy by default, torch/cupy opt-in).  On the NumPy array path the product
   is evaluated with exactly the same expression as
   :meth:`repro.neurons.lif.LIFPopulation._drive_current`, so the fast path
-  stays bit-identical to the sequential circuits.
+  stays bit-identical to the reference (``sequential_solve``).
 * ``sparse`` — :mod:`scipy.sparse` CSR product, built from the graph's cached
   CSR adjacency (:meth:`repro.graphs.graph.Graph.to_csr`) when the circuit
   provides a sparse weight builder.  Results agree with ``dense`` to
@@ -191,7 +191,7 @@ class DenseBackend(WeightBackend):
     def drive(self, device_block, input_offset: float, out=None):
         # Same expression (dtype, order, transpose-view) as
         # LIFPopulation._drive_current, which is what makes the engine's dense
-        # numpy path bitwise-reproducible against the sequential circuits.
+        # numpy path bitwise-reproducible against the reference.
         xp = self.array
         centred = xp.astype(device_block, "float64") - input_offset
         return xp.matmul(centred, self._weights_t, out=out)

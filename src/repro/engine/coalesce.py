@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.circuits.base import NeuromorphicCircuit
 from repro.cuts.cut import Cut
-from repro.engine.request import SolveRequest, SolveResult
+from repro.engine.request import PER_TRIAL_METADATA, SolveRequest, SolveResult
 from repro.engine.sampler import trial_seed_sequences
 from repro.utils.validation import ValidationError
 
@@ -196,6 +196,8 @@ def split_result(
             ),
             metadata={
                 **result.metadata,
+                **{k: result.metadata[k][lo:hi]
+                   for k in PER_TRIAL_METADATA if k in result.metadata},
                 "coalesced": True,
                 "batch_trials": int(result.n_trials),
                 "batch_slice": [int(lo), int(hi)],

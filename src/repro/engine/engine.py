@@ -15,9 +15,11 @@ to end.  Given a :class:`repro.engine.request.SolveRequest` it
    optionally terminating early once the best-cut distribution plateaus.
 
 With the default dense backend and early stopping disabled, the engine's
-read-outs are bit-identical to running ``circuit.sample_cuts`` sequentially
-once per trial with the matching ``SeedSequence(root, spawn_key=(i,))`` seed
-— :func:`sequential_solve` implements exactly that reference loop.
+read-outs are bit-identical to :func:`sequential_solve`, the plan-driven
+reference that simulates one trial at a time with
+:class:`repro.neurons.lif.LIFPopulation` and the matching
+``SeedSequence(root, spawn_key=(i,))`` seed.  ``circuit.sample_cuts`` is a
+batch-of-1 engine call.
 
 Trials are processed in memory-bounded blocks, so graph size x step count
 never forces the full ``trials x steps x neurons`` current tensor into RAM.
@@ -31,7 +33,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.circuits.base import NeuromorphicCircuit
-from repro.cuts.cut import BatchCutEvaluator, Cut
+from repro.cuts.cut import BatchCutEvaluator, Cut, cut_weights_batch
 from repro.engine.backends import WeightBackend
 from repro.engine.coalesce import request_trial_seeds as _request_trial_seeds
 from repro.engine.request import SolveRequest, SolveResult
@@ -39,11 +41,15 @@ from repro.engine.sampler import BatchDeviceSampler
 from repro.engine.simulator import BatchLIFSimulator
 from repro.engine.tracker import BestCutTracker
 from repro.neurons.encoding import (
+    membrane_sign_assignments,
     membrane_sign_assignments_xp,
+    spikes_to_assignments,
     spikes_to_assignments_xp,
 )
+from repro.neurons.lif import LIFPopulation
 from repro.obs.trace import span
 from repro.utils.logging import get_logger
+from repro.utils.rng import spawn_generators
 from repro.utils.validation import ValidationError
 
 __all__ = ["BatchedSolverEngine", "solve", "sequential_solve"]
@@ -112,6 +118,7 @@ class BatchedSolverEngine:
         trajectory_blocks: List[np.ndarray] = []
         potential_blocks: List[np.ndarray] = []
         assignment_blocks: List[np.ndarray] = []
+        learners: List[object] = [None] * request.n_trials
 
         block_size = self._block_size(request, n_steps, n_neurons)
         blocks = [
@@ -128,7 +135,7 @@ class BatchedSolverEngine:
                     trials, n_steps, rounds_limit,
                     trial_best_weights, trial_best_assignments,
                     trajectory_blocks, potential_blocks, assignment_blocks,
-                    allow_stop=(block_index == 0),
+                    learners, allow_stop=(block_index == 0),
                 )
             # The first block fixes the round count; later blocks replay it so
             # every trial's trajectory has the same length.  A wall-clock
@@ -149,6 +156,16 @@ class BatchedSolverEngine:
         # replayed rounds (where stopping is disallowed); neither shortens
         # the run, so neither counts.
         early_stopped = n_rounds < request.n_samples
+        plasticity = {}
+        if plan.readout == "plasticity":
+            plasticity = {
+                "final_plasticity_weights": np.stack(
+                    [learner.weights.copy() for learner in learners]
+                ),
+                "n_plasticity_updates": np.array(
+                    [learner.n_updates for learner in learners]
+                ),
+            }
         _logger.debug(
             "engine: %s on %s, %d trials x %d/%d rounds via %s in %.3fs (best %.1f)",
             type(circuit).__name__, graph.name, request.n_trials, n_rounds,
@@ -191,6 +208,7 @@ class BatchedSolverEngine:
                 "early_stop_round": tracker.stop_round if early_stopped else None,
                 "deadline_exceeded": tracker.deadline_exceeded,
                 **plan.metadata,
+                **plasticity,
             },
         )
 
@@ -211,6 +229,7 @@ class BatchedSolverEngine:
         trajectory_blocks: List[np.ndarray],
         potential_blocks: List[np.ndarray],
         assignment_blocks: List[np.ndarray],
+        learners: List[object],
         allow_stop: bool,
     ) -> int:
         """Simulate one trial block; returns the number of rounds completed."""
@@ -232,12 +251,11 @@ class BatchedSolverEngine:
         currents = simulator.drive_currents(xp.asarray(states), split_at=split)
         del states
 
-        learners = None
         if plan.readout == "plasticity":
-            learners = [
-                plan.plasticity_builder(sampler.aux_generator(trial))
-                for trial in trials
-            ]
+            for trial in trials:
+                learners[trial] = plan.plasticity_builder(
+                    sampler.aux_generator(trial)
+                )
             rounds = simulator.iter_subthreshold_rounds(
                 currents, plan.burn_in, plan.interval, rounds_limit
             )
@@ -291,7 +309,8 @@ class BatchedSolverEngine:
                     rows = xp.to_numpy(payload)
                     readout_rows = rows[:, -1]
                     assignments = np.empty((n_trials, plan.n_neurons), dtype=np.int8)
-                    for j, learner in enumerate(learners):
+                    for j, trial in enumerate(trials):
+                        learner = learners[trial]
                         for k in range(plan.interval):
                             learner.step(rows[j, k])
                         assignments[j] = learner.sign_assignment()
@@ -391,33 +410,53 @@ def solve(request: SolveRequest) -> SolveResult:
 
 
 def sequential_solve(request: SolveRequest) -> SolveResult:
-    """Reference implementation: one ``sample_cuts`` call per trial.
+    """Reference implementation: the circuit's ``BatchPlan``, one trial at a time.
 
-    Runs the *sequential* circuit path with exactly the per-trial seeds the
-    engine derives, and packages the outcome as a :class:`SolveResult`.  Used
-    by the equivalence tests and the throughput benchmarks; early stopping
-    and backend selection do not apply.
+    Each trial replays the engine's RNG chain (``spawn_generators(seed, 2)``
+    into device and plasticity streams, one ``pool.sample`` call) and
+    integrates a fresh :class:`~repro.neurons.lif.LIFPopulation` with
+    ``run`` (spike read-out) or ``run_subthreshold`` (membrane and
+    plasticity read-outs).  It shares no integration code with
+    :class:`BatchedSolverEngine`, so it is the oracle the engine-equivalence
+    tests and the throughput benchmarks measure against; early stopping and
+    backend selection do not apply.
     """
     start = time.perf_counter()
     engine = BatchedSolverEngine()
     circuit = engine._resolve_circuit(request)
     graph = circuit.graph
     plan = circuit.engine_plan()
-    n_steps = plan.burn_in + request.n_samples * plan.interval
+    n_samples, interval = request.n_samples, plan.interval
+    n_steps = plan.burn_in + n_samples * interval
     if request.n_trials == 0:
         return engine._empty_result(request, circuit, "sequential", graph)
 
-    seeds = _request_trial_seeds(request)
-    trajectories = np.zeros((request.n_trials, request.n_samples))
+    trajectories = np.zeros((request.n_trials, n_samples))
     best_weights = np.full(request.n_trials, -np.inf)
-    best_assignments = np.zeros(
-        (request.n_trials, graph.n_vertices), dtype=np.int8
-    )
-    for i, trial_seed in enumerate(seeds):
-        result = circuit.sample_cuts(request.n_samples, seed=trial_seed)
-        trajectories[i] = result.trajectory.weights
-        best_weights[i] = result.best_cut.weight
-        best_assignments[i] = result.best_cut.assignment
+    best_assignments = np.zeros((request.n_trials, plan.n_neurons), dtype=np.int8)
+    for i, trial_seed in enumerate(_request_trial_seeds(request)):
+        device_rng, aux_rng = spawn_generators(trial_seed, 2)
+        states = plan.pool_builder(device_rng).sample(n_steps)
+        population = LIFPopulation(plan.weights, params=plan.lif)
+        if plan.readout == "spike":
+            spikes = population.run(states, burn_in=plan.burn_in)["spikes"]
+            assignments = spikes_to_assignments(spikes[interval - 1 :: interval])
+        elif plan.readout == "membrane":
+            potentials = population.run_subthreshold(states, burn_in=plan.burn_in)
+            assignments = membrane_sign_assignments(potentials[interval - 1 :: interval])
+        else:
+            potentials = population.run_subthreshold(states, burn_in=plan.burn_in)
+            learner = plan.plasticity_builder(aux_rng)
+            assignments = np.empty((n_samples, plan.n_neurons), dtype=np.int8)
+            for r in range(n_samples):
+                for row in potentials[r * interval : (r + 1) * interval]:
+                    learner.step(row)
+                assignments[r] = learner.sign_assignment()
+        weights = cut_weights_batch(graph, assignments)
+        best = int(np.argmax(weights))
+        trajectories[i] = weights
+        best_weights[i] = weights[best]
+        best_assignments[i] = assignments[best]
     best_trial = int(np.argmax(best_weights))
     best_cut = Cut(
         assignment=best_assignments[best_trial].copy(),
@@ -429,8 +468,8 @@ def sequential_solve(request: SolveRequest) -> SolveResult:
         circuit_name=circuit.name,
         backend_name="sequential",
         n_trials=request.n_trials,
-        n_samples=request.n_samples,
-        n_rounds=request.n_samples,
+        n_samples=n_samples,
+        n_rounds=n_samples,
         n_steps=n_steps,
         best_cut=best_cut,
         trial_best_weights=best_weights,

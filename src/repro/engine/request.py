@@ -13,12 +13,11 @@ Trial *i* of a request with root seed ``s`` receives the seed sequence
 ``SeedSequence(entropy=s, spawn_key=(i,))`` — the same child that
 :class:`repro.utils.rng.SeedStream` and :func:`repro.parallel.seeds.seeded_tasks`
 hand to work item *i*.  Running the engine with ``n_trials=k`` is therefore
-bit-identical (dense backend) to the sequential loop
-
-    for i in range(k):
-        circuit.sample_cuts(n_samples, seed=SeedSequence(s, spawn_key=(i,)))
-
-regardless of trial-block size or execution order.
+bit-identical (dense backend) to running those ``k`` trials one by one,
+regardless of trial-block size or execution order —
+:func:`repro.engine.sequential_solve` is that one-by-one reference, written
+against the circuit's ``BatchPlan``.  ``circuit.sample_cuts`` is a
+batch-of-1 engine call.
 """
 
 from __future__ import annotations
@@ -33,6 +32,11 @@ from repro.cuts.cut import Cut
 from repro.utils.validation import ValidationError
 
 __all__ = ["EarlyStopConfig", "SolveRequest", "SolveResult"]
+
+#: Metadata entries holding one row per trial: :meth:`SolveResult.circuit_result`
+#: picks the trial's row and :func:`repro.engine.coalesce.split_result`
+#: slices them along with the trials.
+PER_TRIAL_METADATA = ("final_plasticity_weights", "n_plasticity_updates")
 
 
 @dataclass(frozen=True)
@@ -119,11 +123,11 @@ class SolveRequest:
         weight name is always honoured; ``"auto"`` picks ``sparse`` for
         large low-density graphs with square weight matrices and ``dense``
         otherwise.  Only the numpy array path guarantees bitwise identity
-        with the sequential circuits; sparse and accelerator (torch/cupy)
+        with the reference; sparse and accelerator (torch/cupy)
         paths agree to floating-point round-off.
     early_stop:
         Optional plateau rule; ``None`` disables early stopping (required for
-        exact sample-for-sample equivalence with the sequential path).
+        exact sample-for-sample equivalence with the reference).
     deadline_seconds:
         Optional hard wall-clock deadline for the whole batch, independent of
         the plateau rule.  Once exceeded, the engine stops launching further
@@ -274,7 +278,12 @@ class SolveResult:
         return total / self.elapsed_seconds
 
     def circuit_result(self, trial: int) -> CircuitResult:
-        """View one trial as a sequential-style :class:`CircuitResult`."""
+        """View one trial as a :class:`CircuitResult`.
+
+        The view carries the result's metadata (device count, read-out, the
+        circuit's plan metadata such as the SDP objective) with per-trial
+        entries narrowed to *trial*.
+        """
         if not (0 <= trial < self.n_trials):
             raise ValidationError(
                 f"trial must be in [0, {self.n_trials}), got {trial}"
@@ -292,6 +301,11 @@ class SolveResult:
             trajectory=SampleTrajectory(weights=weights),
             n_samples=int(weights.shape[0]),
             n_steps=self.n_steps,
-            metadata={"engine": True, "backend": self.backend_name,
-                      "trial": trial, "best_round": best_index},
+            metadata={
+                **self.metadata,
+                **{k: self.metadata[k][trial].copy()
+                   for k in PER_TRIAL_METADATA if k in self.metadata},
+                "engine": True, "backend": self.backend_name,
+                "trial": trial, "best_round": best_index,
+            },
         )

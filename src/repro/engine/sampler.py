@@ -1,11 +1,11 @@
 """Trial-parallel device sampling for the batched solver engine.
 
 :class:`BatchDeviceSampler` replays, for every trial, exactly the RNG chain
-the sequential circuits use — ``spawn_generators(trial_seed, 2)`` to split
+the reference (:func:`repro.engine.sequential_solve`) uses — ``spawn_generators(trial_seed, 2)`` to split
 device and auxiliary (plasticity) randomness, then one
 :meth:`repro.devices.base.DevicePool.sample` call for the whole step block —
-so the batched engine consumes bit-for-bit the same random numbers as
-``circuit.sample_cuts(n_samples, seed=trial_seed)`` would, trial by trial.
+so the batched engine consumes bit-for-bit the same random numbers as the
+reference does, trial by trial.
 
 Trial seeds are derived from the request's root seed as
 ``SeedSequence(entropy=root, spawn_key=(i,))`` (the
@@ -105,7 +105,7 @@ class BatchDeviceSampler:
 
         Only valid after :meth:`sample_block` has covered the trial — the
         generator is created by the same ``spawn_generators(seed, 2)`` call
-        that seeds the device pool, mirroring the sequential circuits.
+        that seeds the device pool, mirroring the reference.
         """
         aux = self._aux_generators[trial]
         if aux is None:
@@ -119,7 +119,7 @@ class BatchDeviceSampler:
 
         Each trial's block comes from a freshly built pool seeded with that
         trial's own generator, in one vectorised ``pool.sample`` call — the
-        same single call the sequential circuits make.
+        same single call the reference makes.
         """
         if n_steps < 0:
             raise ValidationError(f"n_steps must be >= 0, got {n_steps}")

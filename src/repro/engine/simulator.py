@@ -53,7 +53,7 @@ class BatchLIFSimulator:
         namespace the integration runs in.
     params:
         Electrical parameters shared by all neurons and trials (the same
-        :class:`LIFParameters` the sequential circuits use, including
+        :class:`LIFParameters` the reference uses, including
         threshold/reset semantics).
     n_neurons:
         Number of neurons per trial.
@@ -90,9 +90,9 @@ class BatchLIFSimulator:
         """Synaptic currents ``(trials, steps, neurons)`` for a state block.
 
         Each trial's currents come from its own 2-D weight application — the
-        same call shape the sequential circuits issue — so dense numpy
+        same call shape the reference issues — so dense numpy
         results are bitwise reproducible.  ``split_at`` mirrors the
-        sequential spike path, which computes burn-in head and recorded tail
+        reference's spike path, which computes burn-in head and recorded tail
         in *separate* products (:meth:`LIFPopulation.run`): pass ``burn_in``
         there to keep the spike read-out bit-identical; the
         membrane/subthreshold path uses one product over all steps

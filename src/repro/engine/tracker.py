@@ -110,7 +110,7 @@ class BestCutTracker:
         if config is None:
             # Stopping (even at the ceiling) is only allowed when an early-stop
             # rule is configured, so the default engine run keeps exact
-            # sample-for-sample equivalence with the sequential circuits.
+            # sample-for-sample equivalence with the reference.
             return False
         if self._ceiling is not None and self.best_weight >= self._ceiling:
             self._stop_round = round_index

@@ -11,7 +11,7 @@ ship:
 ``numpy`` (default)
     The identity adapter.  Every operation *is* the module-level NumPy call
     the engine historically made, so the engine's NumPy path remains
-    bit-identical to the sequential circuits.
+    bit-identical to the reference (:func:`repro.engine.sequential_solve`).
 ``torch`` / ``cupy``
     Optional GPU-capable adapters, registered unconditionally but gated by
     an availability probe (importable? device visible?).  Resolving one

@@ -9,8 +9,8 @@ configuration summary, library version, timestamp).
 
 It is also the experiments-layer entry point to the batched solver engine:
 :func:`run_circuit_trials` replaces the historical "loop ``sample_cuts`` once
-per trial" pattern with a single trial-parallel engine solve (falling back to
-the sequential loop on request, for reference timings and equivalence
+per trial" pattern with a single trial-parallel engine solve (or, on
+request, the plan-driven reference, for reference timings and equivalence
 checks).
 """
 
@@ -203,9 +203,10 @@ def run_circuit_trials(
     one :class:`repro.engine.SolveRequest` is dispatched to the batched
     engine, which simulates every trial's devices and membranes together.
     ``use_engine=False`` selects :func:`repro.engine.sequential_solve`, the
-    trial-by-trial reference path with identical per-trial seeding (useful
-    for equivalence checks and speedup measurements); both paths return the
-    same :class:`repro.engine.SolveResult` shape.
+    plan-driven reference that simulates one trial at a time through
+    :class:`repro.neurons.lif.LIFPopulation` with identical per-trial
+    seeding (the oracle for equivalence checks and speedup measurements);
+    both paths return the same :class:`repro.engine.SolveResult` shape.
 
     Parameters
     ----------

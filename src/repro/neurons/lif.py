@@ -187,10 +187,7 @@ class LIFPopulation:
             raise ValidationError(
                 f"device_states must have shape ({self.n_devices},), got {device_states.shape}"
             )
-        potentials, spikes = self._integrate(
-            self._state.potentials, device_states.astype(np.float64)[None, :]
-        )
-        self._state.potentials = potentials
+        spikes, _ = self._integrate(device_states.astype(np.float64)[None, :])
         self._state.spikes = spikes[0]
         return spikes[0]
 
@@ -218,78 +215,20 @@ class LIFPopulation:
         dict with keys ``"spikes"`` (bool array, recorded steps x neurons) and,
         when requested, ``"potentials"``.
         """
-        device_states = np.asarray(device_states)
-        if device_states.ndim != 2 or device_states.shape[1] != self.n_devices:
-            raise ValidationError(
-                f"device_states must have shape (n_steps, {self.n_devices}), "
-                f"got {device_states.shape}"
-            )
-        if burn_in < 0:
-            raise ValidationError(f"burn_in must be non-negative, got {burn_in}")
-        drive = device_states.astype(np.float64)
-
+        drive = self._check_block(device_states, burn_in).astype(np.float64)
+        # Burn-in head and recorded tail are separate drive products; the
+        # batched engine's spike path splits its products the same way.
         if burn_in:
-            head = drive[:burn_in]
-            potentials, _ = self._integrate(self._state.potentials, head, record=False)
-            self._state.potentials = potentials
-            drive = drive[burn_in:]
-
-        potentials, spikes, trajectory = self._integrate_recorded(
-            self._state.potentials, drive, record_potentials
+            self._integrate(drive[:burn_in], record_spikes=False)
+        spikes, trajectory = self._integrate(
+            drive[burn_in:], record_potentials=record_potentials
         )
-        self._state.potentials = potentials
-        self._state.spikes = spikes[-1] if spikes.shape[0] else self._state.spikes
+        if spikes.shape[0]:
+            self._state.spikes = spikes[-1]
         result: dict = {"spikes": spikes}
         if record_potentials:
             result["potentials"] = trajectory
         return result
-
-    # ------------------------------------------------------------------
-    def _drive_current(self, device_block: np.ndarray) -> np.ndarray:
-        """Synaptic current for a block of device states: ``(s - offset) W^T``."""
-        centred = device_block - self.params.input_offset
-        return centred @ self._weights.T
-
-    def _integrate(
-        self, initial: np.ndarray, device_block: np.ndarray, record: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Integrate without storing the potential trajectory."""
-        params = self.params
-        leak = params.leak_factor
-        gain = params.dt / params.capacitance
-        currents = self._drive_current(device_block)
-        potentials = initial.copy()
-        spikes = np.zeros((device_block.shape[0] if record else 0, self.n_neurons), dtype=bool)
-        for t in range(device_block.shape[0]):
-            potentials = leak * potentials + gain * currents[t]
-            fired = potentials >= params.threshold
-            if record:
-                spikes[t] = fired
-            if np.any(fired):
-                potentials[fired] = params.reset_potential
-        return potentials, spikes
-
-    def _integrate_recorded(
-        self, initial: np.ndarray, device_block: np.ndarray, record_potentials: bool
-    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """Integrate while recording spikes (and optionally potentials)."""
-        params = self.params
-        leak = params.leak_factor
-        gain = params.dt / params.capacitance
-        currents = self._drive_current(device_block)
-        n_steps = device_block.shape[0]
-        potentials = initial.copy()
-        spikes = np.zeros((n_steps, self.n_neurons), dtype=bool)
-        trajectory = np.zeros((n_steps, self.n_neurons)) if record_potentials else None
-        for t in range(n_steps):
-            potentials = leak * potentials + gain * currents[t]
-            if record_potentials:
-                trajectory[t] = potentials
-            fired = potentials >= params.threshold
-            spikes[t] = fired
-            if np.any(fired):
-                potentials[fired] = params.reset_potential
-        return potentials, spikes, trajectory
 
     def run_subthreshold(
         self, device_states: np.ndarray, burn_in: int = 0
@@ -300,6 +239,15 @@ class LIFPopulation:
         plasticity rule consumes the free (non-resetting) membrane potentials,
         whose covariance is the engineered quantity of §III.C.
         """
+        drive = self._check_block(device_states, burn_in).astype(np.float64)
+        _, trajectory = self._integrate(
+            drive, skip=burn_in, spiking=False,
+            record_spikes=False, record_potentials=True,
+        )
+        return trajectory
+
+    # ------------------------------------------------------------------
+    def _check_block(self, device_states: np.ndarray, burn_in: int) -> np.ndarray:
         device_states = np.asarray(device_states)
         if device_states.ndim != 2 or device_states.shape[1] != self.n_devices:
             raise ValidationError(
@@ -308,20 +256,49 @@ class LIFPopulation:
             )
         if burn_in < 0:
             raise ValidationError(f"burn_in must be non-negative, got {burn_in}")
+        return device_states
+
+    def _drive_current(self, device_block: np.ndarray) -> np.ndarray:
+        """Synaptic current for a block of device states: ``(s - offset) W^T``."""
+        centred = device_block - self.params.input_offset
+        return centred @ self._weights.T
+
+    def _integrate(
+        self,
+        device_block: np.ndarray,
+        skip: int = 0,
+        spiking: bool = True,
+        record_spikes: bool = True,
+        record_potentials: bool = False,
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """The Euler loop: advance the state over *device_block* (one drive product).
+
+        The first *skip* steps are integrated but not recorded.  With
+        ``spiking=False`` threshold crossings neither fire nor reset.
+        Returns the recorded ``(spikes, potentials)`` rows (``potentials``
+        is ``None`` unless requested).
+        """
         params = self.params
         leak = params.leak_factor
         gain = params.dt / params.capacitance
-        currents = self._drive_current(device_states.astype(np.float64))
-        n_steps = device_states.shape[0]
+        currents = self._drive_current(device_block)
+        n_steps = device_block.shape[0]
+        recorded = max(0, n_steps - skip)
+        spikes = np.zeros((recorded if record_spikes else 0, self.n_neurons), dtype=bool)
+        trajectory = np.zeros((recorded, self.n_neurons)) if record_potentials else None
         potentials = self._state.potentials.copy()
-        recorded = max(0, n_steps - burn_in)
-        trajectory = np.zeros((recorded, self.n_neurons))
         for t in range(n_steps):
             potentials = leak * potentials + gain * currents[t]
-            if t >= burn_in:
-                trajectory[t - burn_in] = potentials
+            if record_potentials and t >= skip:
+                trajectory[t - skip] = potentials
+            if spiking:
+                fired = potentials >= params.threshold
+                if record_spikes and t >= skip:
+                    spikes[t - skip] = fired
+                if np.any(fired):
+                    potentials[fired] = params.reset_potential
         self._state.potentials = potentials
-        return trajectory
+        return spikes, trajectory
 
     def __repr__(self) -> str:  # pragma: no cover - repr formatting
         return (

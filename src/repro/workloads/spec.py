@@ -297,8 +297,9 @@ class ExecutionPolicy(ValidatedConfig):
         ``"auto"`` routes batchable circuits through the trial-parallel
         engine and everything else through ``parallel_map``; ``"engine"``
         is ``"auto"`` with the engine requirement made explicit;
-        ``"parallel"`` keeps every solver on the per-trial path (engine
-        off — reference timings); ``"sequential"`` additionally forces one
+        ``"parallel"`` runs every solver trial by trial through
+        ``parallel_map`` (a circuit trial is then a batch-of-1 engine call
+        via ``sample_cuts``); ``"sequential"`` additionally forces one
         in-process worker.
     backend:
         Engine backend spec for batchable solvers, resolved by

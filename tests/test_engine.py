@@ -26,6 +26,7 @@ from repro.engine import (
 from repro.experiments.runner import run_circuit_trials
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.graph import Graph
+from repro.neurons.lif import LIFPopulation
 from repro.utils.rng import spawn_generators
 from repro.utils.validation import ValidationError
 
@@ -110,7 +111,7 @@ class TestSeededEquivalence:
         for i, trial_seed in enumerate(trial_seed_sequences(99, 3)):
             device_rng, _ = spawn_generators(trial_seed, 2)
             pool = circuit.build_device_pool(device_rng)
-            population = circuit.build_population()
+            population = LIFPopulation(circuit.weights, params=config.lif)
             potentials = population.run_subthreshold(
                 pool.sample(n_steps), burn_in=config.burn_in_steps
             )
@@ -142,15 +143,6 @@ class TestSeededEquivalence:
         )
         assert many_blocks.metadata["n_blocks"] > 1
         _assert_bit_identical(many_blocks, one_block)
-
-    def test_circuit_method_fast_path(self, medium_er_graph):
-        """The circuits' opt-in sample_cuts_batch wrapper hits the engine."""
-        circuit = _tr(medium_er_graph)
-        result = circuit.sample_cuts_batch(3, 8, seed=21)
-        reference = sequential_solve(
-            SolveRequest(circuit=circuit, n_trials=3, n_samples=8, seed=21)
-        )
-        _assert_bit_identical(result, reference)
 
 
 class TestEdgeCases:

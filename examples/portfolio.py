@@ -17,13 +17,11 @@ Usage:
 from __future__ import annotations
 
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
 
 from repro.algorithms.registry import get_spec
-from repro.arena import ArenaBudget, run_arena
 from repro.experiments.runner import save_results
 from repro.graphs.generators import erdos_renyi
 from repro.portfolio import (
@@ -35,10 +33,8 @@ from repro.portfolio import (
     save_model,
     solve_portfolio,
 )
+from repro.workloads import arena_result_from_report, run_workload
 from repro.workloads.spec import Budget
-
-# run_arena below is the deprecated-but-supported shim; keep the demo quiet.
-warnings.filterwarnings("ignore", category=DeprecationWarning)
 
 
 def main() -> None:
@@ -66,10 +62,10 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         # 3. Mine priors from a persisted run (any saved results carrying
         #    solver/n_vertices/n_edges/cut_ratio records are minable).
-        arena = run_arena(
-            ["lif_tr", "trevisan", "random"],
+        arena = arena_result_from_report(run_workload(
+            "arena", solvers=("lif_tr", "trevisan", "random"),
             suite=[erdos_renyi(16, 0.3, seed=1, name="fit-er")],
-            budget=ArenaBudget(n_trials=2, n_samples=32), seed=0)
+            trials=2, samples=32, seed=0))
         runs = Path(tmp) / "runs.json"
         save_results(runs, "compare", arena.entries)
         model = fit_from_paths([runs])

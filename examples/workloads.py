@@ -70,7 +70,7 @@ def main() -> None:
         graphs=GraphSource.erdos_renyi_grid((16,), (0.4,), per_cell=2),
         solvers=("random", "trevisan", "local_search"),
         budget=Budget(n_trials=2, n_samples=16),
-        policy=ExecutionPolicy(mode="sequential"),
+        policy=ExecutionPolicy(n_workers=1),
         seed=1,
     )
     adhoc = Session(spec).run()

@@ -32,11 +32,9 @@ from repro.engine.backends import (
     DenseBackend,
     SparseBackend,
     WeightBackend,
-    get_backend,
     list_backends,
     probe_weight_backends,
     register_backend,
-    select_backend,
 )
 from repro.engine.coalesce import (
     coalesce_requests,
@@ -91,7 +89,6 @@ __all__ = [
     "coalesce_requests",
     "fusion_compatible",
     "get_array_backend",
-    "get_backend",
     "list_array_backends",
     "list_backends",
     "parse_backend_spec",
@@ -101,7 +98,6 @@ __all__ = [
     "register_backend",
     "request_trial_seeds",
     "resolve_backend",
-    "select_backend",
     "sequential_solve",
     "solve",
     "solve_instance_block",

@@ -30,16 +30,10 @@ heuristic — ``sparse`` when the weights are square, the graph is large
 (>= ``SPARSE_MIN_VERTICES``) and its edge density is below
 ``SPARSE_DENSITY_THRESHOLD``, ``dense`` otherwise.  New backends (GPU,
 blocked, ...) can be registered with :func:`register_backend`.
-
-The former free functions :func:`select_backend` and :func:`get_backend`
-remain as thin shims that warn once (``DeprecationWarning``) and delegate,
-with outputs pinned equal to the old behaviour.
 """
 
 from __future__ import annotations
 
-import inspect
-import warnings
 from typing import Callable, Dict, Optional
 
 import numpy as np
@@ -58,9 +52,7 @@ __all__ = [
     "DenseBackend",
     "SparseBackend",
     "register_backend",
-    "get_backend",
     "list_backends",
-    "select_backend",
     "SPARSE_DENSITY_THRESHOLD",
     "SPARSE_MIN_VERTICES",
 ]
@@ -95,8 +87,8 @@ class WeightBackend:
     name: str = "backend"
 
     #: The array backend whose namespace :meth:`drive` computes in.  Set by
-    #: the concrete constructors (or by :meth:`for_graph` for third-party
-    #: backends that predate the seam); ``None`` means "host numpy".
+    #: the concrete constructors (or by :meth:`for_graph` for registered
+    #: backends that leave it unset); ``None`` means "host numpy".
     array: Optional[ArrayBackend] = None
 
     def drive(
@@ -160,8 +152,9 @@ class WeightBackend:
                 and graph.density() < SPARSE_DENSITY_THRESHOLD
             )
             name = "sparse" if use_sparse else "dense"
-        factory = _get_factory(name)
-        backend = _construct(factory, weights, sparse_weights, resolved.array)
+        backend = _get_factory(name)(
+            weights, sparse_weights=sparse_weights, array_backend=resolved.array
+        )
         if backend.array is None:
             backend.array = resolved.array
         return backend
@@ -237,16 +230,17 @@ class SparseBackend(WeightBackend):
         return out
 
 
-#: Registered backend factories: name -> (weights, sparse_weights) -> backend.
+#: Registered backend factories:
+#: name -> (weights, sparse_weights, array_backend) -> backend.
 _REGISTRY: Dict[str, Callable[..., WeightBackend]] = {}
 
 
 def register_backend(name: str, factory: Callable[..., WeightBackend]) -> None:
-    """Register a backend factory ``(weights, sparse_weights=None) -> WeightBackend``.
+    """Register a backend factory
+    ``(weights, sparse_weights=None, array_backend=None) -> WeightBackend``.
 
-    Factories that additionally accept an ``array_backend`` keyword are
-    handed the resolved :class:`~repro.engine.xp.ArrayBackend`; older
-    two-argument factories keep working (their backends run host-side).
+    The factory is handed the resolved :class:`~repro.engine.xp.ArrayBackend`
+    as the ``array_backend`` keyword.
     """
     if not name or name == AUTO:
         raise ValidationError(f"invalid backend name {name!r}")
@@ -254,34 +248,12 @@ def register_backend(name: str, factory: Callable[..., WeightBackend]) -> None:
 
 
 def _get_factory(name: str) -> Callable[..., WeightBackend]:
-    """Registry lookup without the deprecation warning (internal use)."""
     try:
         return _REGISTRY[name]
     except KeyError:
         raise ValidationError(
             f"unknown backend {name!r}; registered: {list_backends()}"
         ) from None
-
-
-def _construct(
-    factory: Callable[..., WeightBackend],
-    weights: np.ndarray,
-    sparse_weights,
-    array_backend: ArrayBackend,
-) -> WeightBackend:
-    """Call a factory, passing ``array_backend`` only if it accepts it."""
-    try:
-        params = inspect.signature(factory).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins/extensions
-        params = {}
-    takes_array = "array_backend" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    )
-    if takes_array:
-        return factory(
-            weights, sparse_weights=sparse_weights, array_backend=array_backend
-        )
-    return factory(weights, sparse_weights=sparse_weights)
 
 
 def list_backends() -> list[str]:
@@ -312,56 +284,3 @@ def probe_weight_backends() -> list[dict]:
 
 register_backend("dense", DenseBackend)
 register_backend("sparse", SparseBackend)
-
-
-# ---------------------------------------------------------------------------
-# Deprecated entry points (thin warn-once shims)
-# ---------------------------------------------------------------------------
-
-_DEPRECATION_WARNED: set = set()
-
-
-def _warn_once(old: str, new: str) -> None:
-    if old in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(old)
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def get_backend(name: str) -> Callable[..., WeightBackend]:
-    """Deprecated: look up a registered backend factory by name.
-
-    Use :func:`repro.engine.xp.resolve_backend` +
-    :meth:`WeightBackend.for_graph` instead.  This shim warns once per
-    process and delegates; lookups and errors are unchanged.
-    """
-    _warn_once(
-        "repro.engine.backends.get_backend",
-        "repro.engine.xp.resolve_backend / WeightBackend.for_graph",
-    )
-    return _get_factory(name)
-
-
-def select_backend(
-    name: str,
-    weights: np.ndarray,
-    graph=None,
-    sparse_weights=None,
-) -> WeightBackend:
-    """Deprecated: resolve *name* (possibly ``"auto"``) into a backend.
-
-    Use :meth:`WeightBackend.for_graph` instead.  This shim warns once per
-    process and delegates; constructed backends are pinned equal to the old
-    behaviour (same routing heuristic, same factories).
-    """
-    _warn_once(
-        "repro.engine.backends.select_backend",
-        "WeightBackend.for_graph",
-    )
-    return WeightBackend.for_graph(
-        graph, weights, policy=name, sparse_weights=sparse_weights
-    )

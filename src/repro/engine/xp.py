@@ -33,9 +33,8 @@ the host, kernels stay on the device.
 
 Backend specs
 -------------
-:func:`resolve_backend` is the single entry point for backend selection —
-the redesigned API that replaces the ad-hoc ``select_backend`` free
-function.  It accepts a compact spec naming either or both seams::
+:func:`resolve_backend` is the single entry point for backend selection.
+It accepts a compact spec naming either or both seams::
 
     resolve_backend("auto")          # numpy array path, auto weight routing
     resolve_backend("dense")         # numpy + dense weights, forced
@@ -46,7 +45,7 @@ function.  It accepts a compact spec naming either or both seams::
 i.e. ``"<array>"``, ``"<weight>"``, or ``"<array>:<weight>"``; ``None`` and
 ``"auto"`` mean "numpy, auto weight routing".  The same spec strings are
 accepted end-to-end: ``SolveRequest.backend``, ``ExecutionPolicy.backend``,
-``repro run/solve/compare/engine --backend``, and the serve payload's
+``repro run/solve/engine --backend``, and the serve payload's
 ``"backend"`` key.  Weight-backend *construction* for a resolved spec lives
 in :meth:`repro.engine.backends.WeightBackend.for_graph`.
 """

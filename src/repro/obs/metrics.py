@@ -17,9 +17,8 @@ is evaluated at collection time, **outside** the registry lock, so callbacks
 are free to take their own locks (serve's queue-depth gauge) without any
 lock-ordering entanglement with writers.
 
-:func:`nearest_rank_percentile` is the service's latency percentile,
-extracted verbatim so ``/stats`` values are bit-for-bit what the hand-rolled
-``SolverService._percentile`` produced.
+:func:`nearest_rank_percentile` is the service's latency percentile (the
+``p50``/``p95`` values of ``/stats``).
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ LabelPairs = Tuple[Tuple[str, str], ...]
 def nearest_rank_percentile(values: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile over *values*; ``0.0`` for an empty window.
 
-    Numerically identical to the historical ``SolverService._percentile``:
-    sort, then index ``round(fraction * (n - 1))`` clamped to the last
+    Sort, then index ``round(fraction * (n - 1))`` clamped to the last
     element — a single sample is every percentile of itself.
     """
     if not values:

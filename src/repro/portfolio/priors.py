@@ -1,8 +1,8 @@
 """Mine persisted arena/workload runs into per-bucket solver priors.
 
-``repro compare`` and the workload runner have been persisting
+``repro run arena`` and the workload runner persist
 :class:`repro.arena.results.ArenaEntry` records through the standard
-experiment persistence layer since PR 2.  This module folds any number of
+experiment persistence layer.  This module folds any number of
 those JSON files into a :class:`PortfolioModel`: for every coarse feature
 bucket (:func:`repro.portfolio.features.bucket_key`), a ranking of the
 solvers that have competed there, by mean arena-relative cut ratio.  The

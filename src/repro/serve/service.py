@@ -741,11 +741,6 @@ class SolverService:
 
     # -- metrics -----------------------------------------------------------
 
-    @staticmethod
-    def _percentile(values: List[float], fraction: float) -> float:
-        """Nearest-rank percentile — now lives in :mod:`repro.obs.metrics`."""
-        return nearest_rank_percentile(values, fraction)
-
     def stats(self) -> dict:
         """JSON-safe service metrics (the ``/stats`` endpoint body).
 

@@ -242,7 +242,7 @@ def _arena_subspec(spec: WorkloadSpec) -> WorkloadSpec:
         graphs=spec.graphs,
         solvers=tuple(params.get("solvers", ("lif_tr", "random"))),
         budget=Budget(n_trials=spec.budget.n_trials, n_samples=spec.budget.n_samples),
-        policy=ExecutionPolicy(mode="auto", backend=spec.policy.backend),
+        policy=ExecutionPolicy(backend=spec.policy.backend),
         seed=spec.seed,
         params={},
     )
@@ -580,7 +580,9 @@ def _run_instance_batch_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
     # (the serve coalescer's many-small-requests regime) — that is where the
     # per-round Python overhead the fusion amortises dominates.  The
     # circuits (and their SDP stage) are built outside both timed sections,
-    # so the ratio measures the simulation loop itself.
+    # so the ratio measures the simulation loop itself.  Each leg takes
+    # only ~10 ms, so it is timed as the minimum of a few repetitions, and
+    # the results must match on every one of them.
     params = dict(spec.params)
     count = int(params.get("instance_count", 8))
     n = int(params.get("instance_n", 48))
@@ -600,23 +602,28 @@ def _run_instance_batch_scenario(spec: WorkloadSpec) -> Dict[str, Any]:
         for index, circuit in enumerate(circuits)
     ]
 
-    started = time.perf_counter()
-    per_instance = [solve(request) for request in requests]
-    per_instance_elapsed = time.perf_counter() - started
+    per_instance_elapsed = fused_elapsed = float("inf")
+    fused_for_real = results_match = True
+    for _ in range(3):
+        started = time.perf_counter()
+        per_instance = [solve(request) for request in requests]
+        per_instance_elapsed = min(
+            per_instance_elapsed, time.perf_counter() - started
+        )
 
-    started = time.perf_counter()
-    fused = solve_instance_block(requests)
-    fused_elapsed = time.perf_counter() - started
+        started = time.perf_counter()
+        fused = solve_instance_block(requests)
+        fused_elapsed = min(fused_elapsed, time.perf_counter() - started)
 
-    fused_for_real = all(
-        result.metadata.get("instance_block") for result in fused
-    )
-    results_match = fused_for_real and all(
-        np.array_equal(a.trial_best_weights, b.trial_best_weights)
-        and np.array_equal(a.trial_best_assignments, b.trial_best_assignments)
-        and np.array_equal(a.trajectories, b.trajectories)
-        for a, b in zip(per_instance, fused)
-    )
+        fused_for_real = fused_for_real and all(
+            result.metadata.get("instance_block") for result in fused
+        )
+        results_match = results_match and fused_for_real and all(
+            np.array_equal(a.trial_best_weights, b.trial_best_weights)
+            and np.array_equal(a.trial_best_assignments, b.trial_best_assignments)
+            and np.array_equal(a.trajectories, b.trajectories)
+            for a, b in zip(per_instance, fused)
+        )
     return {
         "scenario": "engine-instance-batch",
         "suite": spec.graphs.label,
@@ -884,7 +891,7 @@ def _bench_spec(params: Dict[str, Any]) -> WorkloadSpec:
         budget=Budget(
             n_trials=int(params["trials"]), n_samples=int(params["samples"])
         ),
-        policy=ExecutionPolicy(mode="auto", backend=params["backend"]),
+        policy=ExecutionPolicy(backend=params["backend"]),
         seed=params["seed"],
         params={**params, "suite": GraphSource.coerce(params["suite"]).label},
     )

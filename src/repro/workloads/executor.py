@@ -253,15 +253,15 @@ def _fused_engine_results(
     Returns ``{unit position: (result, attributed wall seconds)}`` for every
     batchable unit when fusion applies, else an empty dict (the caller's
     per-unit loop then runs them individually).  Fusion applies only with
-    ``policy.instance_batch`` on, the engine enabled, at least two batchable
-    units, and no wall-clock budget (a deadline truncating the fused block
-    would couple cells).  :func:`solve_instance_block` itself falls back to
-    per-request solves when the units' execution shapes differ, so results
-    are always exactly what the unfused loop would produce; the shared wall
-    time is attributed to units proportionally to their trial counts.
+    at least two batchable units and no wall-clock budget (a deadline
+    truncating the fused block would couple cells).
+    :func:`solve_instance_block` itself falls back to per-request solves
+    when the units' execution shapes differ, so results are always exactly
+    what the unfused loop would produce; the shared wall time is attributed
+    to units proportionally to their trial counts.
     """
     policy, budget = spec.policy, spec.budget
-    if not (policy.instance_batch and policy.use_engine) or budget.max_seconds is not None:
+    if budget.max_seconds is not None:
         return {}
     engine_units = [p for p in prepared if p[3].batchable]
     if len(engine_units) < 2:
@@ -369,11 +369,10 @@ def run_cell_units(
         # state never leaks between units; trials are its (g, i) children.
         root = paired_seed(seed, g)
         started = time.perf_counter()
-        on_engine = bool(policy.use_engine and solver.batchable)
         if position in fused:
             result, elapsed = fused[position]
             weights, samples_run, metadata = _engine_unit_payload(result)
-        elif on_engine:
+        elif solver.batchable:
             weights, samples_run, metadata = _run_engine_unit(
                 solver, graph, budget, root, policy.backend, lo, hi
             )
@@ -399,7 +398,7 @@ def run_cell_units(
             "weights": weights,
             "n_samples_run": int(samples_run),
             "elapsed_seconds": float(elapsed),
-            "used_engine": on_engine,
+            "used_engine": bool(solver.batchable),
             "metadata": metadata,
         })
     return payloads

@@ -143,7 +143,7 @@ class Session:
                 solver = get_spec(name)
                 if solver.deterministic:
                     route, trials = "once", 1
-                elif spec.policy.use_engine and solver.batchable:
+                elif solver.batchable:
                     route, trials = f"engine[{spec.policy.backend}]", spec.budget.n_trials
                 else:
                     # resolved_workers() so n_workers=None previews as the

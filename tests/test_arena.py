@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.arena import (
-    ArenaBudget,
     ArenaEntry,
     ArenaResult,
     GraphSuite,
@@ -15,7 +14,6 @@ from repro.arena import (
     get_suite,
     list_suites,
     register_suite,
-    run_arena,
 )
 from repro.arena.suite import SUITES
 from repro.experiments import runner as runner_module
@@ -23,7 +21,9 @@ from repro.experiments.reporting import format_arena_leaderboard, format_arena_r
 from repro.experiments.runner import load_results, save_results
 from repro.graphs.generators import complete_bipartite, erdos_renyi
 from repro.plotting.ascii import ascii_bar_chart, render_leaderboard
+from repro.utils.rng import paired_seed
 from repro.utils.validation import ValidationError
+from repro.workloads import Budget, arena_result_from_report, run_workload
 
 
 def _registered_test_solver(graph, n_samples=1, seed=None, **kwargs):
@@ -31,6 +31,15 @@ def _registered_test_solver(graph, n_samples=1, seed=None, **kwargs):
     from repro.algorithms.trevisan import trevisan_spectral
 
     return trevisan_spectral(graph, seed=seed)
+
+
+def _race(solvers, suite, budget=Budget(), seed=0):
+    """One arena race through the workload API, as an ``ArenaResult``."""
+    return arena_result_from_report(run_workload(
+        "arena", solvers=tuple(solvers), suite=suite,
+        trials=budget.n_trials, samples=budget.n_samples,
+        max_seconds=budget.max_seconds, seed=seed,
+    ))
 
 
 @pytest.fixture
@@ -44,7 +53,7 @@ def tiny_graphs():
 
 class TestArenaBudget:
     def test_defaults_valid(self):
-        budget = ArenaBudget()
+        budget = Budget()
         assert budget.n_trials >= 1 and budget.n_samples >= 1
 
     @pytest.mark.parametrize("kwargs", [
@@ -55,7 +64,7 @@ class TestArenaBudget:
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValidationError):
-            ArenaBudget(**kwargs)
+            Budget(**kwargs)
 
 
 class TestSuites:
@@ -107,8 +116,8 @@ class TestSuites:
 
 class TestRunArenaSequential:
     def test_basic_shape_and_ratios(self, tiny_graphs):
-        result = run_arena(["random", "trevisan"], suite=tiny_graphs,
-                           budget=ArenaBudget(n_trials=2, n_samples=16), seed=0)
+        result = _race(["random", "trevisan"], suite=tiny_graphs,
+                       budget=Budget(n_trials=2, n_samples=16), seed=0)
         assert result.suite == "custom"
         assert result.solvers == ("random", "trevisan")
         assert len(result.entries) == 4  # 2 solvers x 2 graphs
@@ -118,8 +127,8 @@ class TestRunArenaSequential:
             assert all(0.0 <= r <= 1.0 + 1e-12 for r in ratios)
 
     def test_deterministic_solver_runs_single_trial(self, tiny_graphs):
-        result = run_arena(["trevisan"], suite=tiny_graphs,
-                           budget=ArenaBudget(n_trials=5, n_samples=16), seed=0)
+        result = _race(["trevisan"], suite=tiny_graphs,
+                       budget=Budget(n_trials=5, n_samples=16), seed=0)
         for entry in result.entries:
             assert entry.n_trials == 1
             assert entry.deterministic
@@ -128,30 +137,30 @@ class TestRunArenaSequential:
             assert entry.samples_per_second == 0.0
 
     def test_reproducible_across_runs(self, tiny_graphs):
-        kwargs = dict(suite=tiny_graphs, budget=ArenaBudget(n_trials=3, n_samples=16),
+        kwargs = dict(suite=tiny_graphs, budget=Budget(n_trials=3, n_samples=16),
                       seed=42)
-        a = run_arena(["random", "annealing"], **kwargs)
-        b = run_arena(["random", "annealing"], **kwargs)
+        a = _race(["random", "annealing"], **kwargs)
+        b = _race(["random", "annealing"], **kwargs)
         for ea, eb in zip(a.entries, b.entries):
             assert ea.best_weight == eb.best_weight
             assert ea.mean_weight == eb.mean_weight
 
     def test_alias_duplicate_rejected(self, tiny_graphs):
         with pytest.raises(ValidationError, match="more than once"):
-            run_arena(["gw", "solver"], suite=tiny_graphs)
+            _race(["gw", "solver"], suite=tiny_graphs)
 
     def test_empty_solver_list_rejected(self, tiny_graphs):
         with pytest.raises(ValidationError):
-            run_arena([], suite=tiny_graphs)
+            _race([], suite=tiny_graphs)
 
     def test_unknown_solver_rejected(self, tiny_graphs):
         with pytest.raises(ValidationError, match="unknown solver"):
-            run_arena(["not_a_method"], suite=tiny_graphs)
+            _race(["not_a_method"], suite=tiny_graphs)
 
     def test_max_seconds_truncates_trials(self, tiny_graphs):
-        result = run_arena(
+        result = _race(
             ["annealing"], suite=tiny_graphs[:1],
-            budget=ArenaBudget(n_trials=6, n_samples=16, max_seconds=1e-9),
+            budget=Budget(n_trials=6, n_samples=16, max_seconds=1e-9),
             seed=0,
         )
         entry = result.entries[0]
@@ -165,7 +174,7 @@ class TestRunArenaSequential:
         graphs = [erdos_renyi(10, 0.4, seed=1), erdos_renyi(10, 0.4, seed=2)]
         assert graphs[0].name == graphs[1].name
         with pytest.raises(ValidationError, match="unique names"):
-            run_arena(["random"], suite=graphs, seed=0)
+            _race(["random"], suite=graphs, seed=0)
 
     def test_runtime_registered_solver_runs(self, tiny_graphs):
         from repro.algorithms.registry import SOLVER_SPECS, SOLVERS, SolverSpec, register_solver
@@ -174,7 +183,7 @@ class TestRunArenaSequential:
                           deterministic=True, budget="ignored")
         try:
             register_solver(spec)
-            result = run_arena(["_test_arena_solver"], suite=tiny_graphs, seed=0)
+            result = _race(["_test_arena_solver"], suite=tiny_graphs, seed=0)
             assert len(result.entries) == 2
         finally:
             SOLVER_SPECS.pop("_test_arena_solver", None)
@@ -182,7 +191,7 @@ class TestRunArenaSequential:
 
     def test_known_optimum_on_bipartite_graph(self):
         graph = complete_bipartite(5, 6, name="k56")
-        result = run_arena(["trevisan"], suite=[graph], seed=0)
+        result = _race(["trevisan"], suite=[graph], seed=0)
         assert result.entries[0].best_weight == pytest.approx(30.0)
 
 
@@ -196,8 +205,8 @@ class TestRunArenaEngineRouting:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(runner_module, "run_circuit_trials", spy)
-        result = run_arena(["lif_tr", "random"], suite=tiny_graphs[:1],
-                           budget=ArenaBudget(n_trials=2, n_samples=16), seed=0)
+        result = _race(["lif_tr", "random"], suite=tiny_graphs[:1],
+                       budget=Budget(n_trials=2, n_samples=16), seed=0)
         # One engine dispatch per (batchable solver, graph); random never routes there.
         assert len(calls) == 1
         assert calls[0]["circuit"] == "lif_tr"
@@ -209,24 +218,39 @@ class TestRunArenaEngineRouting:
         assert not by_solver["random"].used_engine
         assert by_solver["random"].backend == ""
 
-    def test_engine_and_sequential_paths_agree(self, tiny_graphs):
-        # The shared seeding contract makes use_engine a pure execution detail.
-        kwargs = dict(suite=tiny_graphs[:1],
-                      budget=ArenaBudget(n_trials=2, n_samples=16), seed=5)
-        engine = run_arena(["lif_tr"], use_engine=True, **kwargs)
-        sequential = run_arena(["lif_tr"], use_engine=False, **kwargs)
-        assert not sequential.entries[0].used_engine
-        assert engine.entries[0].best_weight == pytest.approx(
-            sequential.entries[0].best_weight)
-        assert engine.entries[0].mean_weight == pytest.approx(
-            sequential.entries[0].mean_weight)
+    def test_engine_and_sequential_paths_agree(self, tiny_graphs, monkeypatch):
+        # Both circuits on two graphs: the fused engine route must reproduce
+        # the one-trial-at-a-time reference (sequential_solve) exactly.
+        from repro.experiments.runner import run_circuit_trials
+        from repro.workloads import executor as executor_module
+
+        fused_batches = []
+        real = executor_module.solve_instance_block
+
+        def spy(requests):
+            fused_batches.append(len(requests))
+            return real(requests)
+
+        monkeypatch.setattr(executor_module, "solve_instance_block", spy)
+        result = _race(["lif_gw", "lif_tr"], suite=tiny_graphs,
+                       budget=Budget(n_trials=2, n_samples=16), seed=5)
+        assert fused_batches == [4]
+        for entry in result.entries:
+            assert entry.used_engine
+            g = result.graph_names.index(entry.graph_name)
+            reference = run_circuit_trials(
+                tiny_graphs[g], circuit=entry.solver, n_trials=2,
+                n_samples=16, seed=paired_seed(5, g), use_engine=False,
+            )
+            assert entry.metadata["trial_weights"] == \
+                reference.trial_best_weights.tolist()
 
 
 class TestArenaResult:
     @pytest.fixture
     def result(self, tiny_graphs):
-        return run_arena(["random", "trevisan"], suite=tiny_graphs,
-                         budget=ArenaBudget(n_trials=2, n_samples=16), seed=0)
+        return _race(["random", "trevisan"], suite=tiny_graphs,
+                     budget=Budget(n_trials=2, n_samples=16), seed=0)
 
     def test_aggregate_sorted_best_first(self, result):
         rows = result.aggregate()

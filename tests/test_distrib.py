@@ -144,7 +144,6 @@ class TestPlan:
             graphs=GraphSource.from_suite("er-small"),
             solvers=("random",),
             budget=Budget(n_trials=4, n_samples=8),
-            policy=ExecutionPolicy(mode="sequential"),
             seed=0,
         )
         base.update(overrides)
@@ -412,13 +411,20 @@ class TestSpecRoundTrip:
             graphs=GraphSource.erdos_renyi_grid((16, 20), (0.2,), per_cell=2),
             solvers=("lif_tr", "random"),
             budget=Budget(n_trials=3, n_samples=16, max_seconds=2.5),
-            policy=ExecutionPolicy(mode="parallel", n_workers=2),
+            policy=ExecutionPolicy(n_workers=2),
             seed=7,
             params={"suite": "er-grid", "flag": True},
         )
         rebuilt = WorkloadSpec.from_dict(spec.to_dict())
         assert rebuilt.to_dict() == spec.to_dict()
         assert fingerprint(rebuilt, 4) == fingerprint(spec, 4)
+        # A manifest written before the policy lost its `mode` and
+        # `instance_batch` fields is refused, not silently reinterpreted.
+        for removed in ({"mode": "parallel"}, {"instance_batch": False}):
+            legacy = spec.to_dict()
+            legacy["policy"] = {**legacy["policy"], **removed}
+            with pytest.raises(ValidationError, match=next(iter(removed))):
+                WorkloadSpec.from_dict(legacy)
 
     def test_explicit_sources_are_not_persistable(self):
         from repro.graphs.generators import erdos_renyi
@@ -440,7 +446,6 @@ class TestAdhocSpecs:
             graphs=GraphSource.from_suite("structured-small"),
             solvers=("random", "trevisan"),
             budget=Budget(n_trials=3, n_samples=8),
-            policy=ExecutionPolicy(mode="sequential"),
             seed=0,
         )
         mono = Session(spec).run()

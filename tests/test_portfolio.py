@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms.registry import get_spec, list_solvers
-from repro.arena import ArenaBudget, run_arena
 from repro.engine.sampler import trial_seed_sequences
 from repro.experiments.runner import run_circuit_trials, save_results
 from repro.graphs.generators import complete_bipartite, erdos_renyi
@@ -53,6 +52,7 @@ from repro.portfolio import (
 from repro.problems import compile_to_maxcut, random_problem
 from repro.serve import ServiceConfig, SolverService
 from repro.utils.validation import ValidationError
+from repro.workloads import arena_result_from_report, run_workload
 from repro.workloads.spec import Budget
 
 
@@ -173,8 +173,7 @@ class TestRace:
 
     def test_single_candidate_race_equals_sequential_run(self, graph):
         result = race(graph, ["local_search"],
-                      budget=Budget(n_trials=3, n_samples=16), seed=11,
-                      use_engine=False)
+                      budget=Budget(n_trials=3, n_samples=16), seed=11)
         fn = get_spec("local_search").fn
         cuts = [fn(graph, n_samples=16, seed=seq)
                 for seq in trial_seed_sequences(11, 3)]
@@ -258,19 +257,20 @@ class TestPriors:
         assert load_model(path) == model
 
     def test_load_rejects_wrong_result_type(self, tmp_path):
-        result = run_arena(
-            ["random"], suite=[erdos_renyi(8, 0.5, seed=1, name="g")],
-            budget=ArenaBudget(n_trials=1, n_samples=8), seed=0)
+        result = arena_result_from_report(run_workload(
+            "arena", solvers=("random",),
+            suite=[erdos_renyi(8, 0.5, seed=1, name="g")],
+            trials=1, samples=8, seed=0))
         path = tmp_path / "other.json"
         save_results(path, "compare", result.entries[:1])
         with pytest.raises(ValidationError):
             load_model(path)
 
     def test_fit_from_arena_save(self, tmp_path):
-        result = run_arena(
-            ["random", "trevisan"],
+        result = arena_result_from_report(run_workload(
+            "arena", solvers=("random", "trevisan"),
             suite=[erdos_renyi(12, 0.4, seed=3, name="tiny-er")],
-            budget=ArenaBudget(n_trials=2, n_samples=16), seed=0)
+            trials=2, samples=16, seed=0))
         path = tmp_path / "arena.json"
         save_results(path, "compare", result.entries)
         model = fit_from_paths([path])
@@ -345,7 +345,7 @@ def _strip_timing(rows):
 
 class TestArenaAutoDeterminism:
     def test_auto_vs_gw_leaderboard_pinned_across_runs(self):
-        """Acceptance pin: `repro compare --solvers auto,gw` is deterministic.
+        """Acceptance pin: `repro run arena --param solvers=auto,gw` is deterministic.
 
         Two identical runs must produce identical leaderboard JSON once
         wall-clock columns are stripped (they are the only permitted
@@ -357,9 +357,9 @@ class TestArenaAutoDeterminism:
         ]
 
         def one_run():
-            result = run_arena(["auto", "gw"], suite=suite,
-                               budget=ArenaBudget(n_trials=2, n_samples=16),
-                               seed=0)
+            result = arena_result_from_report(run_workload(
+                "arena", solvers=("auto", "gw"), suite=suite,
+                trials=2, samples=16, seed=0))
             entries = [dataclasses.asdict(e) for e in result.entries]
             return (_strip_timing(result.aggregate()),
                     _strip_timing(entries))
@@ -428,10 +428,10 @@ class TestServeAuto:
 class TestPortfolioCLI:
     @pytest.fixture
     def results_file(self, tmp_path):
-        result = run_arena(
-            ["random", "trevisan"],
+        result = arena_result_from_report(run_workload(
+            "arena", solvers=("random", "trevisan"),
             suite=[erdos_renyi(12, 0.4, seed=3, name="tiny-er")],
-            budget=ArenaBudget(n_trials=2, n_samples=16), seed=0)
+            trials=2, samples=16, seed=0))
         path = tmp_path / "compare.json"
         save_results(path, "compare", result.entries)
         return path

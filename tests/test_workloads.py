@@ -91,11 +91,6 @@ class TestGraphSource:
 
 
 class TestBudgetAndPolicy:
-    def test_budget_is_arena_budget(self):
-        from repro.arena import ArenaBudget
-
-        assert ArenaBudget is Budget
-
     @pytest.mark.parametrize("kwargs", [
         {"n_trials": 0},
         {"n_samples": 0},
@@ -106,13 +101,16 @@ class TestBudgetAndPolicy:
         with pytest.raises(ValidationError):
             Budget(**kwargs)
 
-    def test_policy_modes(self):
-        assert ExecutionPolicy(mode="auto").use_engine
-        assert ExecutionPolicy(mode="engine").use_engine
-        assert not ExecutionPolicy(mode="parallel").use_engine
-        assert ExecutionPolicy(mode="sequential").parallel_config().n_workers == 1
+    def test_policy_fields(self):
+        assert [f.name for f in dataclasses.fields(ExecutionPolicy)] == [
+            "backend", "n_workers",
+        ]
+        assert ExecutionPolicy().parallel_config().n_workers == 1
+        assert ExecutionPolicy(n_workers=3).parallel_config().n_workers == 3
         with pytest.raises(ValidationError):
-            ExecutionPolicy(mode="warp")
+            ExecutionPolicy(backend="warp")
+        with pytest.raises(ValidationError):
+            ExecutionPolicy(n_workers=-1)
 
 
 class TestWorkloadSpec:
@@ -203,19 +201,23 @@ class TestRegistry:
     def test_resolve_params_rejects_unknown_keys(self):
         with pytest.raises(ValidationError, match="no parameter"):
             resolve_params(get_workload("figure3"), {"bogus": 1})
+        # The removed engine-off knob fails loudly and names the survivors.
+        with pytest.raises(ValidationError, match="no parameter 'use_engine'.*"
+                                                  "accepted: .*'backend'"):
+            run_workload("arena", use_engine=False, solvers=("lif_tr",))
 
     def test_coerce_param_types(self):
         assert coerce_param("sizes", "12,16", (50,)) == (12, 16)
         assert coerce_param("probabilities", "0.4", (0.25,)) == (0.4,)
         assert coerce_param("trials", "3", 4) == 3
-        assert coerce_param("use_engine", "false", True) is False
+        assert coerce_param("enabled", "false", True) is False
         assert coerce_param("max_seconds", "none", None) is None
         assert coerce_param("max_seconds", "1.5", None) == 1.5
         assert coerce_param("kind", "rank", "devices") == "rank"
         with pytest.raises(ValidationError):
             coerce_param("trials", "three", 4)
         with pytest.raises(ValidationError):
-            coerce_param("use_engine", "maybe", True)
+            coerce_param("enabled", "maybe", True)
         # Optional-number params reject junk text instead of smuggling a str
         # into Budget (which would surface as a TypeError downstream).
         with pytest.raises(ValidationError, match="number or 'none'"):
@@ -254,7 +256,7 @@ class TestSession:
             graphs=GraphSource.explicit([erdos_renyi(10, 0.5, seed=1, name="g")]),
             solvers=("lif_tr", "trevisan", "random"),
             budget=Budget(n_trials=3, n_samples=8),
-            policy=ExecutionPolicy(mode="auto", n_workers=4),
+            policy=ExecutionPolicy(n_workers=4),
             seed=0,
         )
         plan = Session(spec).plan()
@@ -276,7 +278,7 @@ class TestSession:
             graphs=GraphSource.explicit([erdos_renyi(10, 0.5, seed=1, name="g")]),
             solvers=("random",),
             budget=Budget(n_trials=2, n_samples=4),
-            policy=ExecutionPolicy(mode="parallel", n_workers=None),
+            policy=ExecutionPolicy(n_workers=None),
             seed=0,
         )
         route = Session(spec).plan().steps[0].route
@@ -350,19 +352,6 @@ class TestRunReport:
 class TestWorkloadSeeding:
     """The paired SeedSequence(seed, spawn_key=(graph, trial)) contract."""
 
-    def test_engine_and_sequential_paths_agree(self):
-        kwargs = dict(
-            solvers=("lif_tr",), suite="er-small", trials=2, samples=16, seed=5,
-        )
-        engine = run_workload("arena", use_engine=True, **kwargs)
-        sequential = run_workload("arena", use_engine=False, **kwargs)
-        assert all(e.used_engine for e in engine.records)
-        assert not any(e.used_engine for e in sequential.records)
-        for ea, eb in zip(engine.records, sequential.records):
-            assert ea.graph_name == eb.graph_name
-            assert ea.best_weight == pytest.approx(eb.best_weight)
-            assert ea.mean_weight == pytest.approx(eb.mean_weight)
-
     def test_generic_executor_uses_paired_roots(self):
         # Trial i on graph g must consume SeedSequence(seed, spawn_key=(g, i)):
         # reproduce one cell by hand and compare against the workload records.
@@ -414,7 +403,6 @@ class TestBudgetDeadline:
             graphs=GraphSource.from_suite("er-small"),
             solvers=("lif_tr",),
             budget=Budget(n_trials=4, n_samples=4000, max_seconds=1e-4),
-            policy=ExecutionPolicy(mode="auto"),
             seed=3,
         )
         report = execute_spec(spec)

@@ -352,6 +352,28 @@ class TestRunReport:
 class TestWorkloadSeeding:
     """The paired SeedSequence(seed, spawn_key=(graph, trial)) contract."""
 
+    def test_engine_and_sequential_paths_agree(self):
+        # The arena workload routes lif_tr through the batched engine; the
+        # one-trial-at-a-time reference on the same paired roots must agree.
+        from repro.experiments.runner import run_circuit_trials
+
+        report = run_workload(
+            "arena", solvers=("lif_tr",), suite="er-small",
+            trials=2, samples=16, seed=5,
+        )
+        graphs = GraphSource.from_suite("er-small").build(5)
+        assert all(e.used_engine for e in report.records)
+        for g, (graph, entry) in enumerate(zip(graphs, report.records)):
+            assert entry.graph_name == graph.name
+            sequential = run_circuit_trials(
+                graph, circuit="lif_tr", n_trials=2, n_samples=16,
+                seed=paired_seed(5, g), use_engine=False,
+            )
+            weights = sequential.trial_best_weights
+            assert entry.metadata["trial_weights"] == pytest.approx(weights.tolist())
+            assert entry.best_weight == pytest.approx(float(weights.max()))
+            assert entry.mean_weight == pytest.approx(float(weights.mean()))
+
     def test_generic_executor_uses_paired_roots(self):
         # Trial i on graph g must consume SeedSequence(seed, spawn_key=(g, i)):
         # reproduce one cell by hand and compare against the workload records.

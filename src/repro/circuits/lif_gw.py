@@ -123,6 +123,8 @@ class LIFGWCircuit(NeuromorphicCircuit):
             metadata={
                 "sdp_objective": self.sdp_result.objective,
                 "sdp_converged": self.sdp_result.converged,
+                "sdp_stop_reason": self.sdp_result.stop_reason,
+                "sdp_iterations": self.sdp_result.n_iterations,
                 "rank": config.rank,
             },
         )

@@ -58,16 +58,6 @@ def sdp_objective(graph: Graph, W: np.ndarray) -> float:
     return float(0.5 * np.dot(graph.edge_weights, 1.0 - inner))
 
 
-def _euclidean_gradient(graph: Graph, W: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of the SDP objective with respect to W.
-
-    With the objective summed over the full symmetric adjacency,
-    d/dW [ (1/2) sum_ij A_ij (1 - w_i.w_j) ] = -A W (row i gets
-    ``-sum_j A_ij w_j``).  Using the sparse adjacency keeps this O(m r).
-    """
-    return -(graph.adjacency_sparse() @ W)
-
-
 @dataclass
 class SDPResult:
     """Result of a Burer-Monteiro MAXCUT SDP solve.
@@ -82,20 +72,30 @@ class SDPResult:
         solve converges to the global optimum).
     n_iterations:
         Number of gradient-ascent iterations performed.
-    converged:
-        True if the Riemannian gradient norm fell below tolerance.
-    objective_history:
-        Objective value after every iteration (monotone non-decreasing).
     rank:
         The factorisation rank used.
+    stop_reason:
+        Why the ascent stopped: ``"tolerance"`` when the Riemannian gradient
+        norm fell below tolerance (also for empty and edgeless graphs),
+        ``"line_search"`` when no Armijo step gave sufficient ascent, and
+        ``"max_iterations"`` when the iteration cap was reached first.
+    objective_history:
+        Objective value after every iteration (monotone non-decreasing), in
+        the ``<W, AW>`` form the line search compares; it can differ from
+        ``objective`` in the last bits.
     """
 
     vectors: np.ndarray
     objective: float
     n_iterations: int
-    converged: bool
     rank: int
+    stop_reason: str
     objective_history: List[float] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        """True only when the gradient-norm tolerance was met."""
+        return self.stop_reason == "tolerance"
 
     @property
     def gram_matrix(self) -> np.ndarray:
@@ -113,6 +113,10 @@ def solve_maxcut_sdp(
     initial_vectors: Optional[np.ndarray] = None,
 ) -> SDPResult:
     """Solve the MAXCUT SDP relaxation with a rank-*rank* factorisation.
+
+    Each Armijo trial costs one sparse product ``AW = A @ W``: it gives the
+    trial's objective through ``(1/2)(total - (1/2)<W, AW>)`` and, once the
+    trial is accepted, the next iteration's Euclidean gradient ``-AW``.
 
     Parameters
     ----------
@@ -154,25 +158,32 @@ def solve_maxcut_sdp(
 
     if n == 0 or graph.n_edges == 0:
         return SDPResult(
-            vectors=W, objective=0.0, n_iterations=0, converged=True, rank=rank,
-            objective_history=[0.0],
+            vectors=W, objective=0.0, n_iterations=0, rank=rank,
+            stop_reason="tolerance", objective_history=[0.0],
         )
 
-    scale = max(graph.total_weight, 1.0)
-    objective = sdp_objective(graph, W)
+    A = graph.adjacency_sparse()
+    total = graph.total_weight
+    scale = max(total, 1.0)
+
+    def objective_of(V: np.ndarray, AV: np.ndarray) -> float:
+        # <V, AV> counts every edge twice over the symmetric adjacency.
+        return 0.5 * (total - 0.5 * float(np.vdot(V, AV)))
+
+    AW = A @ W
+    objective = objective_of(W, AW)
     history = [objective]
     step = float(initial_step)
-    converged = False
+    stop_reason = "max_iterations"
     iteration = 0
 
     for iteration in range(1, max_iterations + 1):
-        euclidean_grad = _euclidean_gradient(graph, W)
-        # Riemannian ascent direction: the Euclidean gradient of the objective
-        # projected onto the tangent space of the oblique manifold.
-        riemannian_grad = tangent_project(W, euclidean_grad)
+        # Riemannian ascent direction: the Euclidean gradient -AW of the
+        # objective projected onto the tangent space of the oblique manifold.
+        riemannian_grad = tangent_project(W, -AW)
         grad_norm = float(np.linalg.norm(riemannian_grad))
         if grad_norm <= tolerance * scale:
-            converged = True
+            stop_reason = "tolerance"
             break
 
         # Armijo backtracking line search along the ascent direction.
@@ -180,31 +191,31 @@ def solve_maxcut_sdp(
         trial_step = step
         for _ in range(40):
             candidate = retract(W, trial_step * riemannian_grad)
-            candidate_objective = sdp_objective(graph, candidate)
+            candidate_AW = A @ candidate
+            candidate_objective = objective_of(candidate, candidate_AW)
             if candidate_objective >= objective + 1e-4 * trial_step * grad_norm**2 / scale:
-                W = candidate
+                W, AW = candidate, candidate_AW
                 objective = candidate_objective
                 # Gentle step growth keeps the search adaptive in both directions.
                 step = min(trial_step * 2.0, 1e3)
                 improved = True
                 break
             trial_step *= 0.5
-        if not improved:
-            # No ascent possible at any tried step: treat as converged.
-            converged = True
-            history.append(objective)
-            break
         history.append(objective)
+        if not improved:
+            stop_reason = "line_search"
+            break
 
+    objective = sdp_objective(graph, W)
     _logger.debug(
-        "SDP solve on %s: objective=%.4f iterations=%d converged=%s",
-        graph.name, objective, iteration, converged,
+        "SDP solve on %s: objective=%.4f iterations=%d stop=%s",
+        graph.name, objective, iteration, stop_reason,
     )
     return SDPResult(
         vectors=W,
         objective=objective,
         n_iterations=iteration,
-        converged=converged,
         rank=rank,
+        stop_reason=stop_reason,
         objective_history=history,
     )

@@ -36,12 +36,13 @@ def project_rows_to_sphere(W: np.ndarray) -> np.ndarray:
     if W.ndim != 2:
         raise ValidationError(f"W must be 2-D, got shape {W.shape}")
     norms = np.linalg.norm(W, axis=1, keepdims=True)
-    out = np.empty_like(W)
     safe = norms[:, 0] > _EPS
+    if safe.all():
+        return W / norms
+    out = np.empty_like(W)
     out[safe] = W[safe] / norms[safe]
-    if np.any(~safe):
-        out[~safe] = 0.0
-        out[~safe, 0] = 1.0
+    out[~safe] = 0.0
+    out[~safe, 0] = 1.0
     return out
 
 

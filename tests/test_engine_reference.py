@@ -73,6 +73,8 @@ class TestCircuitResultMetadata:
         metadata = result.circuit_result(1).metadata
         assert metadata["sdp_objective"] == circuit.sdp_result.objective
         assert metadata["sdp_converged"] == circuit.sdp_result.converged
+        assert metadata["sdp_stop_reason"] == circuit.sdp_result.stop_reason
+        assert metadata["sdp_iterations"] == circuit.sdp_result.n_iterations
         assert metadata["rank"] == GW_CONFIG.rank
         assert metadata["n_devices"] == GW_CONFIG.rank
         assert metadata["readout"] == "membrane"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sdp.manifold import (
+    _EPS,
     is_on_manifold,
     project_rows_to_sphere,
     random_oblique_point,
@@ -13,7 +14,36 @@ from repro.sdp.manifold import (
 from repro.utils.validation import ValidationError
 
 
+def _masked_projection(W):
+    """Reference: the boolean-mask normalisation applied to every input."""
+    W = np.asarray(W, dtype=np.float64)
+    norms = np.linalg.norm(W, axis=1, keepdims=True)
+    out = np.empty_like(W)
+    safe = norms[:, 0] > _EPS
+    out[safe] = W[safe] / norms[safe]
+    out[~safe] = 0.0
+    out[~safe, 0] = 1.0
+    return out
+
+
 class TestProjection:
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 2), (100, 4), (64, 16)])
+    @pytest.mark.parametrize("magnitude", [1e-9, 1.0, 1e9])
+    def test_fast_path_matches_masked_path_bitwise(self, rng, shape, magnitude):
+        W = magnitude * rng.standard_normal(shape)
+        out = project_rows_to_sphere(W)
+        assert np.array_equal(out, _masked_projection(W))
+        assert out is not W
+
+    def test_zero_rows_among_nonzero_rows(self, rng):
+        W = rng.standard_normal((9, 3))
+        W[[0, 4, 8]] = 0.0
+        W[5] = 0.5 * _EPS
+        out = project_rows_to_sphere(W)
+        assert np.array_equal(out, _masked_projection(W))
+        for row in (0, 4, 5, 8):
+            assert np.array_equal(out[row], [1.0, 0.0, 0.0])
+
     def test_unit_rows(self, rng):
         W = project_rows_to_sphere(rng.standard_normal((10, 4)))
         np.testing.assert_allclose(np.linalg.norm(W, axis=1), 1.0)
